@@ -23,9 +23,14 @@ the fantasy observation value used by the GP path's q-EI.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 _EPS = 1e-12
+
+
+def _norm_pdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal density (equal to ``scipy.stats.norm.pdf``)."""
+    return np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi)
 
 
 def _validate(mean: np.ndarray, std: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
@@ -54,7 +59,7 @@ def expected_improvement(
     ei = np.maximum(improvement, 0.0)
     positive = std > _EPS
     z = improvement[positive] / std[positive]
-    ei[positive] = improvement[positive] * stats.norm.cdf(z) + std[positive] * stats.norm.pdf(z)
+    ei[positive] = improvement[positive] * special.ndtr(z) + std[positive] * _norm_pdf(z)
     return np.maximum(ei, 0.0)
 
 
@@ -91,7 +96,7 @@ def expected_improvement_stacked(
     ei = np.maximum(improvement, 0.0)
     positive = std > _EPS
     z = improvement[positive] / std[positive]
-    ei[positive] = improvement[positive] * stats.norm.cdf(z) + std[positive] * stats.norm.pdf(z)
+    ei[positive] = improvement[positive] * special.ndtr(z) + std[positive] * _norm_pdf(z)
     return np.maximum(ei, 0.0)
 
 
@@ -104,7 +109,7 @@ def probability_of_improvement(
     improvement = best_observed - mean
     pi = (improvement > 0).astype(float)
     positive = std > _EPS
-    pi[positive] = stats.norm.cdf(improvement[positive] / std[positive])
+    pi[positive] = special.ndtr(improvement[positive] / std[positive])
     return pi
 
 
@@ -207,7 +212,7 @@ def _sample_min_values(
 
     def prob_min_above(y: float) -> float:
         z = (y - mean) / np.maximum(std, _EPS)
-        return float(np.exp(np.sum(stats.norm.logsf(z))))
+        return float(np.exp(np.sum(special.log_ndtr(-z))))
 
     def quantile(p: float) -> float:
         lo, hi = lower, upper
@@ -263,8 +268,8 @@ def max_value_entropy_search(
     minima = _sample_min_values(mean, std, rng, n_samples)
     safe_std = np.maximum(std, _EPS)
     gamma = (mean[:, None] - minima[None, :]) / safe_std[:, None]
-    cdf = np.clip(stats.norm.cdf(gamma), 1e-12, 1.0)
-    alpha = gamma * stats.norm.pdf(gamma) / (2.0 * cdf) - np.log(cdf)
+    cdf = np.clip(special.ndtr(gamma), 1e-12, 1.0)
+    alpha = gamma * _norm_pdf(gamma) / (2.0 * cdf) - np.log(cdf)
     scores = alpha.mean(axis=1)
     # Deterministic candidates can gain no information.
     scores[std <= _EPS] = 0.0

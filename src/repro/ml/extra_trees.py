@@ -10,13 +10,18 @@ Beyond the mean prediction, the ensemble exposes the across-tree standard
 deviation as an uncertainty proxy — useful for UCB-style acquisition over
 tree surrogates and for the stopping analysis.
 
-Two hot-path optimisations serve the surrogate's inner loop (the model
-is refitted after every measurement of a search):
+Three hot-path optimisations serve the surrogate's inner loop (the
+model is refitted after every measurement of a search):
 
 * prediction packs all trees into one flat node array and evaluates the
-  whole ensemble in a single vectorised traversal
+  whole ensemble in a single vectorised flat-gather traversal
   (:func:`repro.ml.tree.predict_packed`) — bit-identical to per-tree
   traversal, but one Python loop over tree depth instead of one per tree;
+* a full refit adopts the builder's packed forest as is
+  (:meth:`ExtraTreesRegressor.adopt_built`): the per-tree
+  :class:`~repro.ml.tree.RegressionTree` shells, which prediction never
+  reads, are only built if :attr:`ExtraTreesRegressor.trees` is read or
+  a warm refit needs them;
 * ``refit_fraction`` enables warm-start refitting: on a refit, only a
   seeded subset of trees is regrown on the new data while the rest keep
   their previous structure.  The default (1.0) refits everything, so
@@ -101,8 +106,9 @@ class ExtraTreesRegressor:
         self._rng = np.random.default_rng(seed)
         self._trees: list[RegressionTree] = []
         self._packed: PackedTrees | None = None
-        # Builder output adopted without per-tree shells (stacked fits);
-        # RegressionTree objects are materialised from it on demand.
+        # Builder output adopted without per-tree shells (every
+        # vectorized full refit); RegressionTree objects are
+        # materialised from it on demand.
         self._built: BuiltForest | None = None
 
     @property
@@ -117,7 +123,11 @@ class ExtraTreesRegressor:
             return
         built = self._built
         self._built = None
-        self._trees = [
+        self._trees = self._shells(built)
+
+    def _shells(self, built: BuiltForest) -> list[RegressionTree]:
+        """One ``RegressionTree`` per tree of ``built``, sharing its arrays."""
+        return [
             RegressionTree.from_arrays(
                 *built.tree_arrays(index),
                 max_features=self.max_features,
@@ -130,7 +140,8 @@ class ExtraTreesRegressor:
     def adopt_built(self, built: BuiltForest) -> None:
         """Install a pre-grown forest as this ensemble's fitted state.
 
-        Used by :func:`fit_ensembles_stacked`: the packed arrays serve
+        Used by every vectorized full refit (:meth:`fit` and
+        :func:`fit_ensembles_stacked`): the packed arrays serve
         prediction immediately; the per-tree ``RegressionTree`` shells —
         which the prediction hot path never touches — are only
         materialised if :attr:`trees` is actually read.
@@ -152,11 +163,9 @@ class ExtraTreesRegressor:
         )
         return tree.fit(X, y)
 
-    def _grow_batch(
-        self, X: np.ndarray, y: np.ndarray, n_trees: int
-    ) -> tuple[list[RegressionTree], PackedTrees]:
+    def _build(self, X: np.ndarray, y: np.ndarray, n_trees: int) -> BuiltForest:
         """Grow ``n_trees`` trees in one level-synchronous builder pass."""
-        built = build_extra_trees(
+        return build_extra_trees(
             X,
             y,
             n_trees,
@@ -165,16 +174,6 @@ class ExtraTreesRegressor:
             max_depth=self.max_depth,
             rng=self._rng,
         )
-        trees = [
-            RegressionTree.from_arrays(
-                *built.tree_arrays(index),
-                max_features=self.max_features,
-                min_samples_split=self.min_samples_split,
-                max_depth=self.max_depth,
-            )
-            for index in range(n_trees)
-        ]
-        return trees, built.packed
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> ExtraTreesRegressor:
         """Fit the ensemble on the full ``(X, y)`` sample.
@@ -195,7 +194,7 @@ class ExtraTreesRegressor:
                 self._rng.choice(self.n_estimators, size=n_refit, replace=False)
             )
             if vectorized:
-                regrown, _ = self._grow_batch(X, y, n_refit)
+                regrown = self._shells(self._build(X, y, n_refit))
                 for slot, tree in zip(chosen, regrown):
                     self._trees[int(slot)] = tree
             else:
@@ -203,10 +202,10 @@ class ExtraTreesRegressor:
                     self._trees[int(index)] = self._grow_tree(X, y)
             self._packed = pack_trees(self._trees)
         elif vectorized:
-            # The builder emits the packed layout directly — no
-            # per-tree repacking on the full-refit hot path.
-            self._trees, self._packed = self._grow_batch(X, y, self.n_estimators)
-            self._built = None
+            # The builder emits the packed layout directly; per-tree
+            # shells are only built if ``trees`` is read or a warm
+            # refit needs them.
+            self.adopt_built(self._build(X, y, self.n_estimators))
         else:
             self._trees = [self._grow_tree(X, y) for _ in range(self.n_estimators)]
             self._packed = pack_trees(self._trees)

@@ -30,12 +30,20 @@ Both modes land in the same optima up to optimiser tolerance; the
 numeric knob exists for A/B testing and for kernels without
 :meth:`~repro.ml.kernels.Kernel.value_and_grad` (which also fall back
 automatically).
+
+Every Cholesky factorisation and solve goes through two small helpers,
+:func:`_cholesky` and :func:`_cho_solve`, which call LAPACK ``dpotrf``
+/ ``dpotrs`` directly.  They make the same calls as
+``scipy.linalg.cholesky`` / ``cho_solve`` and return the same bits, but
+skip the wrappers' per-call overhead, which dominates at the handful of
+observations a search fits on.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import linalg, optimize
+from scipy.linalg import lapack
 
 from repro.ml.kernels import Geometry, Kernel, Matern52, stacked_stationary_value
 
@@ -43,6 +51,46 @@ _JITTERS = (1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
 
 #: Valid values of ``GaussianProcessRegressor(gradient=...)``.
 GRADIENT_MODES = ("analytic", "numeric")
+
+
+def _cholesky(K: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of the float64 matrix ``K``, via LAPACK ``dpotrf``.
+
+    The same LAPACK call ``scipy.linalg.cholesky(K, lower=True)`` makes,
+    bit for bit, without its per-call wrapper overhead; the wrapper's
+    guarantees are kept.  ``K`` is never mutated.
+
+    Raises:
+        ValueError: if ``K`` holds a NaN or an infinity.
+        np.linalg.LinAlgError: if ``K`` is not positive definite.
+    """
+    if not np.isfinite(K).all():
+        raise ValueError("array must not contain infs or NaNs")
+    L, info = lapack.dpotrf(K, lower=True, clean=True)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite"
+        )
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrf")
+    return L
+
+
+def _cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``(L L^T) x = b`` for a factor from :func:`_cholesky`.
+
+    The same LAPACK call as ``scipy.linalg.cho_solve((L, True), b)``,
+    bit for bit; ``b`` (a vector or a matrix) is never mutated.
+
+    Raises:
+        ValueError: if ``b`` holds a NaN or an infinity.
+    """
+    if not np.isfinite(b).all():
+        raise ValueError("array must not contain infs or NaNs")
+    x, info = lapack.dpotrs(L, b, lower=True)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrs")
+    return x
 
 
 def _cholesky_with_jitter(K: np.ndarray, start: int = 0) -> tuple[np.ndarray, int]:
@@ -66,8 +114,8 @@ def _cholesky_with_jitter(K: np.ndarray, start: int = 0) -> tuple[np.ndarray, in
         jittered = K.copy()
         jittered.flat[:: n + 1] += _JITTERS[index]
         try:
-            return linalg.cholesky(jittered, lower=True), index
-        except linalg.LinAlgError:
+            return _cholesky(jittered), index
+        except np.linalg.LinAlgError:
             continue
     raise np.linalg.LinAlgError("covariance matrix is not positive definite")
 
@@ -181,7 +229,7 @@ class GaussianProcessRegressor:
         self.n_kernel_builds += 1
         K.flat[:: n + 1] += self.noise
         self._L = _cholesky_with_jitter(K)[0]
-        self._alpha = linalg.cho_solve((self._L, True), y_scaled)
+        self._alpha = _cho_solve(self._L, y_scaled)
         return self
 
     def _packed_theta(self) -> np.ndarray:
@@ -207,7 +255,7 @@ class GaussianProcessRegressor:
             L, _ = _cholesky_with_jitter(K)
         except np.linalg.LinAlgError:
             return -np.inf
-        alpha = linalg.cho_solve((L, True), y_scaled)
+        alpha = _cho_solve(L, y_scaled)
         return float(
             -0.5 * y_scaled @ alpha
             - np.sum(np.log(np.diag(L)))
@@ -235,13 +283,13 @@ class GaussianProcessRegressor:
             L, self._fit_jitter = _cholesky_with_jitter(K, start=self._fit_jitter)
         except np.linalg.LinAlgError:
             return -np.inf, np.zeros(theta.size)
-        alpha = linalg.cho_solve((L, True), y_scaled)
+        alpha = _cho_solve(L, y_scaled)
         lml = float(
             -0.5 * y_scaled @ alpha
             - np.sum(np.log(np.diag(L)))
             - 0.5 * n * np.log(2.0 * np.pi)
         )
-        inner = np.outer(alpha, alpha) - linalg.cho_solve((L, True), self._eye)
+        inner = np.outer(alpha, alpha) - _cho_solve(L, self._eye)
         grad = np.empty(theta.size)
         grad[:-1] = 0.5 * np.einsum("ij,pij->p", inner, K_grad)
         grad[-1] = 0.5 * self.noise * np.trace(inner)
@@ -384,7 +432,7 @@ def fit_gps_stacked(
     :func:`repro.ml.kernels.stacked_stationary_value` call over an
     ``(S, n, n)`` distance stack.  The Cholesky factorisations and solves
     remain per-slice — batched ``np.linalg.cholesky`` is not bit-identical
-    to scipy's per-matrix LAPACK path, and the jitter ladder is
+    to the per-matrix LAPACK path, and the jitter ladder is
     per-matrix anyway.  Groups that don't qualify (ARD or composite
     kernels, ragged designs, numeric-gradient GPs without a geometry)
     silently fall back to per-GP kernel builds; the result is identical
@@ -460,5 +508,5 @@ def fit_gps_stacked(
         gp.n_kernel_builds += 1
         K.flat[:: n + 1] += gp.noise
         gp._L = _cholesky_with_jitter(K)[0]
-        gp._alpha = linalg.cho_solve((gp._L, True), y_scaled)
+        gp._alpha = _cho_solve(gp._L, y_scaled)
     return gps

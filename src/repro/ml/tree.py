@@ -10,13 +10,19 @@ Extra-Trees from random forests and make single trees cheap to grow.
 The implementation is tuned for the surrogate's inner loop (the ensemble
 is refitted after every measurement): split search uses running-sum SSE
 instead of repeated variance calls, and prediction is a vectorised batch
-traversal over flat node arrays.
+traversal over flat node arrays.  Ensembles are packed
+(:class:`PackedTrees`) and walked by one flat-gather kernel shared by
+:func:`predict_packed` and :func:`predict_packed_many`: each split reads
+the raveled query matrix at ``row * d + feature``, the next node comes
+from a fused child table at ``2 * node + go_left``, and only the cursors
+that have not reached a leaf are carried to the next level.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,6 +86,16 @@ class PackedTrees:
         """Total number of nodes across all packed trees."""
         return int(self.feature.size)
 
+    @cached_property
+    def child(self) -> np.ndarray:
+        """Fused child table: node ``i`` goes to ``child[2*i + go_left]``.
+
+        ``child[2*i]`` is the right child and ``child[2*i + 1]`` the
+        left, so one gather replaces a ``where`` over both tables.
+        Built on first use.
+        """
+        return np.column_stack((self.right, self.left)).ravel()
+
 
 def pack_trees(trees: Sequence) -> PackedTrees:
     """Pack fitted trees (any class using the flat node layout) together.
@@ -119,19 +135,45 @@ def pack_trees(trees: Sequence) -> PackedTrees:
 PREDICT_CHUNK_ROWS = 16384
 
 
+def _descend(
+    feature: np.ndarray,
+    threshold: np.ndarray,
+    child: np.ndarray,
+    x: np.ndarray,
+    node: np.ndarray,
+    offset: np.ndarray,
+) -> np.ndarray:
+    """Walk every cursor from ``node`` down to its leaf; returns ``node``.
+
+    ``x`` is the query matrix raveled row-major and ``offset[i]`` the
+    start of cursor ``i``'s row in it, so a split reads
+    ``x[offset + feature]`` — one flat gather.  Only the still-active
+    cursors are carried from level to level; each compares exactly the
+    operands a per-tree walk would, so the leaves are the same.
+    """
+    active = np.flatnonzero(feature.take(node) >= 0)
+    current = node.take(active)
+    offset = offset.take(active)
+    while active.size:
+        go_left = x.take(offset + feature.take(current)) <= threshold.take(current)
+        current = child.take(2 * current + go_left)
+        node[active] = current
+        keep = feature.take(current) >= 0
+        active = active[keep]
+        current = current[keep]
+        offset = offset[keep]
+    return node
+
+
 def _predict_packed_block(packed: PackedTrees, X: np.ndarray) -> np.ndarray:
     """One unchunked flat traversal over ``X`` (see :func:`predict_packed`)."""
-    n_rows = X.shape[0]
+    n_rows, width = X.shape
     node = np.repeat(packed.roots, n_rows)
-    cols = np.tile(np.arange(n_rows), packed.n_trees)
-    active = packed.feature[node] >= 0
-    while active.any():
-        current = node[active]
-        feats = packed.feature[current]
-        go_left = X[cols[active], feats] <= packed.threshold[current]
-        node[active] = np.where(go_left, packed.left[current], packed.right[current])
-        active = packed.feature[node] >= 0
-    return packed.value[node].reshape(packed.n_trees, n_rows)
+    offset = np.tile(np.arange(n_rows, dtype=np.int64) * width, packed.n_trees)
+    leaves = _descend(
+        packed.feature, packed.threshold, packed.child, X.ravel(), node, offset
+    )
+    return packed.value[leaves].reshape(packed.n_trees, n_rows)
 
 
 def predict_packed(
@@ -201,12 +243,8 @@ def predict_packed_many(
     value = np.concatenate([p.value for p in packeds])
     node_counts = [p.node_count for p in packeds]
     node_offsets = np.concatenate([[0], np.cumsum(node_counts)[:-1]])
-    left = np.concatenate(
-        [np.where(p.left >= 0, p.left + off, -1)
-         for p, off in zip(packeds, node_offsets)]
-    )
-    right = np.concatenate(
-        [np.where(p.right >= 0, p.right + off, -1)
+    child = np.concatenate(
+        [np.where(p.child >= 0, p.child + off, -1)
          for p, off in zip(packeds, node_offsets)]
     )
     row_counts = [X.shape[0] for X in queries]
@@ -221,17 +259,11 @@ def predict_packed_many(
         [np.repeat(p.roots + noff, nrows)
          for p, noff, nrows in zip(packeds, node_offsets, row_counts)]
     )
-    cols = np.concatenate(
-        [np.tile(np.arange(nrows, dtype=np.int64), p.n_trees) + roff
+    offset = np.concatenate(
+        [np.tile(np.arange(nrows, dtype=np.int64) + roff, p.n_trees) * width
          for p, roff, nrows in zip(packeds, row_offsets, row_counts)]
     )
-    active = feature[node] >= 0
-    while active.any():
-        current = node[active]
-        feats = feature[current]
-        go_left = X_all[cols[active], feats] <= threshold[current]
-        node[active] = np.where(go_left, left[current], right[current])
-        active = feature[node] >= 0
+    node = _descend(feature, threshold, child, X_all.ravel(), node, offset)
     values = value[node]
     out = []
     pos = 0

@@ -1,10 +1,17 @@
 """Unit and property tests for acquisition functions."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
+from repro.core import acquisition
 from repro.core.acquisition import (
     expected_improvement,
     lower_confidence_bound,
@@ -43,8 +50,6 @@ class TestExpectedImprovement:
 
     def test_known_analytic_value(self):
         # improvement = 1, std = 1 -> EI = Phi(1) + phi(1).
-        from scipy import stats
-
         ei = expected_improvement(np.array([0.0]), np.array([1.0]), best_observed=1.0)
         assert ei[0] == pytest.approx(stats.norm.cdf(1) + stats.norm.pdf(1))
 
@@ -155,3 +160,56 @@ class TestTopQIndices:
         arr[10] = np.nan
         arr[50] = 5.0
         assert top_q_indices(arr, 3) == _top_q_reference(arr, 3)
+
+
+class TestNormalDistributionKernels:
+    """The scipy.special forms equal scipy.stats.norm bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def z(self):
+        rng = np.random.default_rng(0)
+        specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 40.0, -40.0, 1e-300, 8.3, -8.3]
+        return np.concatenate([
+            rng.normal(scale=3.0, size=100_000),
+            rng.uniform(-40.0, 40.0, size=100_000),
+            specials,
+        ])
+
+    def test_cdf(self, z):
+        np.testing.assert_array_equal(acquisition.special.ndtr(z), stats.norm.cdf(z))
+
+    def test_pdf(self, z):
+        np.testing.assert_array_equal(acquisition._norm_pdf(z), stats.norm.pdf(z))
+
+    def test_log_survival(self, z):
+        np.testing.assert_array_equal(acquisition.special.log_ndtr(-z), stats.norm.logsf(z))
+
+    def test_expected_improvement_matches_stats_formula(self):
+        rng = np.random.default_rng(4)
+        mean = rng.normal(size=500)
+        std = np.abs(rng.normal(size=500))
+        std[:20] = 0.0
+        improvement = 0.3 - mean
+        expected = np.maximum(improvement, 0.0)
+        positive = std > 1e-12
+        z = improvement[positive] / std[positive]
+        expected[positive] = (
+            improvement[positive] * stats.norm.cdf(z)
+            + std[positive] * stats.norm.pdf(z)
+        )
+        np.testing.assert_array_equal(
+            expected_improvement(mean, std, 0.3), np.maximum(expected, 0.0)
+        )
+
+    def test_import_repro_does_not_load_scipy_stats(self):
+        """scipy.stats costs a large share of ``import repro``."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        script = "import sys, repro; print('scipy.stats' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        ).stdout
+        assert out.strip() == "False"

@@ -166,6 +166,34 @@ class TestRevocationQuarantine:
         assert result.quarantined_vms
 
 
+class TestSpotBudget:
+    """``max_measurements`` under fractional spot charges.
+
+    An attempt starts whenever the bill is still under the budget, so
+    the last attempt's charge can carry the total past it — but never
+    by a whole on-demand unit, since no attempt bills more than one.
+    """
+
+    BUDGET = 6
+
+    def test_overshoot_stays_under_one_unit(self, trace):
+        charged = []
+        for seed in range(6):
+            result = RandomSearch(
+                _spot_env(trace, SpotMarket(**HOT_MARKET), seed=seed),
+                seed=seed,
+                retry_policy=RetryPolicy(max_attempts=3),
+                max_measurements=self.BUDGET,
+                spot=_policy(fallback_after=2),
+            ).run()
+            assert result.stopped_by == "budget"
+            assert self.BUDGET <= result.charged_cost < self.BUDGET + 1
+            charged.append(result.charged_cost)
+        # Pins today's semantics: the budget is checked before an
+        # attempt starts, not against what the attempt will bill.
+        assert max(charged) > self.BUDGET
+
+
 class TestBatchSpot:
     """q=4 under spot: deterministic, order-independent, divergence pinned."""
 

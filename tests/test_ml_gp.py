@@ -2,8 +2,15 @@
 
 import numpy as np
 import pytest
+from scipy import linalg
 
-from repro.ml.gp import GaussianProcessRegressor
+from repro.ml.gp import (
+    _JITTERS,
+    GaussianProcessRegressor,
+    _cho_solve,
+    _cholesky,
+    _cholesky_with_jitter,
+)
 from repro.ml.kernels import RBF, Matern52
 
 
@@ -125,3 +132,69 @@ class TestHyperparameterFit:
         gp = GaussianProcessRegressor(Matern52(), seed=0, n_restarts=2).fit(X, y)
         # Learned noise should be material, not the 1e-4 default.
         assert gp.noise > 1e-3
+
+
+def _random_spd(rng: np.random.Generator, n: int) -> np.ndarray:
+    A = rng.normal(size=(n, n))
+    return A @ A.T + n * np.eye(n) * rng.uniform(1e-3, 1.0)
+
+
+class TestLapackHelpers:
+    """The direct-LAPACK helpers against the scipy wrappers they replace."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 18, 40])
+    def test_cholesky_and_solve_match_scipy_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            K = _random_spd(rng, n)
+            before = K.copy()
+            L = _cholesky(K)
+            np.testing.assert_array_equal(L, linalg.cholesky(K, lower=True))
+            np.testing.assert_array_equal(K, before)
+            b = rng.normal(size=n)
+            np.testing.assert_array_equal(_cho_solve(L, b), linalg.cho_solve((L, True), b))
+            eye = np.eye(n)
+            np.testing.assert_array_equal(
+                _cho_solve(L, eye), linalg.cho_solve((L, True), eye)
+            )
+            np.testing.assert_array_equal(eye, np.eye(n))
+
+    def test_indefinite_matrix_raises_linalg_error(self):
+        K = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            _cholesky(K)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises_value_error(self, bad):
+        K = _random_spd(np.random.default_rng(0), 4)
+        L = _cholesky(K)
+        K[1, 2] = bad
+        with pytest.raises(ValueError):
+            _cholesky(K)
+        b = np.ones(4)
+        b[3] = bad
+        with pytest.raises(ValueError):
+            _cho_solve(L, b)
+
+    def test_jitter_ladder_matches_scipy_ladder(self):
+        """A slightly indefinite matrix climbs the ladder exactly as before."""
+        rng = np.random.default_rng(3)
+        Q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+        K = (Q * np.array([2.0, 1.0, 0.5, 0.2, 0.1, -5e-7])) @ Q.T
+        K = (K + K.T) / 2
+        L, index = _cholesky_with_jitter(K)
+        assert index == 2
+        for expected_index, jitter in enumerate(_JITTERS):
+            try:
+                expected = linalg.cholesky(K + jitter * np.eye(6), lower=True)
+                break
+            except linalg.LinAlgError:
+                continue
+        assert index == expected_index
+        np.testing.assert_array_equal(L, expected)
+
+    def test_jitter_ladder_propagates_non_finite_input(self):
+        K = np.eye(3)
+        K[0, 1] = np.nan
+        with pytest.raises(ValueError):
+            _cholesky_with_jitter(K)

@@ -7,7 +7,14 @@ import pytest
 
 from repro.ml.extra_trees import ExtraTreesRegressor
 from repro.ml.random_forest import RandomForestRegressor
-from repro.ml.tree import RegressionTree, pack_trees, predict_packed
+from repro.ml.tree import (
+    PREDICT_CHUNK_ROWS,
+    RegressionTree,
+    pack_trees,
+    predict_packed,
+    predict_packed_many,
+)
+from repro.ml.tree_builder import build_extra_trees
 
 
 @pytest.fixture(scope="module")
@@ -226,3 +233,164 @@ class TestPackedDegenerate:
         model = ExtraTreesRegressor(n_estimators=2, seed=5, tree_builder=builder)
         model.fit(X, y)
         np.testing.assert_allclose(model.predict(X), y)
+
+
+def _single_leaf(value: float) -> RegressionTree:
+    """A fitted tree that is one leaf: every row predicts ``value``."""
+    return RegressionTree.from_arrays(
+        np.array([-1]), np.array([0.0]), np.array([-1]), np.array([-1]),
+        np.array([value]), np.array([0]),
+    )
+
+
+def _caterpillar(depth: int, width: int) -> RegressionTree:
+    """A maximally unbalanced tree: every split peels one leaf off left.
+
+    Node ``2k`` splits on feature ``k % width`` at ``k / depth``; its
+    left child ``2k + 1`` is a leaf and its right child continues the
+    spine, so rows reach leaves anywhere from depth 1 to ``depth``.
+    """
+    n = 2 * depth + 1
+    feature = np.full(n, -1)
+    threshold = np.zeros(n)
+    left = np.full(n, -1)
+    right = np.full(n, -1)
+    depths = np.zeros(n, dtype=np.int64)
+    for k in range(depth):
+        node = 2 * k
+        feature[node] = k % width
+        threshold[node] = k / depth
+        left[node] = node + 1
+        right[node] = node + 2
+        depths[node + 1] = depths[node + 2] = k + 1
+    return RegressionTree.from_arrays(
+        feature, threshold, left, right, np.arange(n, dtype=float), depths
+    )
+
+
+class TestFlatGatherTraversal:
+    """The flat-gather walk against per-tree ``RegressionTree.predict``."""
+
+    @pytest.fixture()
+    def mixed_forest(self, data):
+        X, y = data
+        return [
+            _single_leaf(-3.5),
+            _caterpillar(depth=60, width=5),
+            RegressionTree(min_samples_split=2, seed=0).fit(X, y),
+            _single_leaf(7.25),
+            _caterpillar(depth=9, width=3),
+        ]
+
+    @pytest.fixture()
+    def queries(self):
+        rng = np.random.default_rng(11)
+        rows = rng.uniform(-0.1, 1.1, size=(97, 5))
+        # Rows sitting exactly on caterpillar thresholds exercise the
+        # ``<=`` tie rule; a NaN never satisfies ``<=`` and goes right.
+        rows[0, :] = [k / 60 for k in range(5)]
+        rows[1, :] = 1.0 / 3.0
+        rows[2, 3] = np.nan
+        return rows
+
+    def test_child_table_is_right_then_left(self, mixed_forest):
+        packed = pack_trees(mixed_forest)
+        np.testing.assert_array_equal(packed.child[0::2], packed.right)
+        np.testing.assert_array_equal(packed.child[1::2], packed.left)
+
+    def test_single_leaf_trees_only(self, queries):
+        trees = [_single_leaf(1.0), _single_leaf(-2.0)]
+        expected = np.stack([tree.predict(queries) for tree in trees])
+        np.testing.assert_array_equal(predict_packed(pack_trees(trees), queries), expected)
+
+    def test_mixed_degenerate_and_deep_trees(self, mixed_forest, queries):
+        expected = np.stack([tree.predict(queries) for tree in mixed_forest])
+        got = predict_packed(pack_trees(mixed_forest), queries)
+        np.testing.assert_array_equal(got, expected)
+        # Leaves of the deep spine are reached at many different depths.
+        assert np.unique(got[1]).size > 20
+
+    @pytest.mark.parametrize("chunk_rows", [1, 13, 96, 97])
+    def test_across_chunk_boundaries(self, mixed_forest, queries, chunk_rows):
+        expected = np.stack([tree.predict(queries) for tree in mixed_forest])
+        got = predict_packed(pack_trees(mixed_forest), queries, chunk_rows=chunk_rows)
+        np.testing.assert_array_equal(got, expected)
+
+    def test_across_the_default_chunk_boundary(self, mixed_forest):
+        queries = np.random.default_rng(5).uniform(size=(PREDICT_CHUNK_ROWS + 3, 5))
+        expected = np.stack([tree.predict(queries) for tree in mixed_forest])
+        np.testing.assert_array_equal(
+            predict_packed(pack_trees(mixed_forest), queries), expected
+        )
+
+    def test_column_strided_queries(self, mixed_forest, queries):
+        """A non-contiguous query view is read by value, not by layout."""
+        wide = np.repeat(queries, 2, axis=1)[:, ::2]
+        assert not wide.flags.c_contiguous
+        expected = np.stack([tree.predict(queries) for tree in mixed_forest])
+        np.testing.assert_array_equal(predict_packed(pack_trees(mixed_forest), wide), expected)
+
+    def test_many_walks_the_same_leaves(self, mixed_forest, queries):
+        """predict_packed_many shares the kernel across ragged widths."""
+        narrow = [_caterpillar(depth=7, width=2), _single_leaf(0.5)]
+        packeds = [pack_trees(mixed_forest), pack_trees(narrow), pack_trees(mixed_forest[:1])]
+        Xs = [queries, queries[:10, :2], queries[:1]]
+        results = predict_packed_many(packeds, Xs)
+        for trees, X, got in zip([mixed_forest, narrow, mixed_forest[:1]], Xs, results):
+            expected = np.stack([tree.predict(X) for tree in trees])
+            np.testing.assert_array_equal(got, expected)
+
+
+class TestLazyFullFit:
+    """A full refit adopts the builder's forest; shells come on demand."""
+
+    @staticmethod
+    def _eager_shells(X, y, n_trees, rng, **params):
+        """What a full fit used to store: one shell per built tree."""
+        built = build_extra_trees(X, y, n_trees, rng=rng, **params)
+        return [
+            RegressionTree.from_arrays(*built.tree_arrays(i), **params)
+            for i in range(n_trees)
+        ]
+
+    def test_shells_are_built_only_when_read(self, data):
+        X, y = data
+        model = ExtraTreesRegressor(n_estimators=6, seed=3).fit(X, y)
+        assert model._trees == [] and model._built is not None
+        model.predict(X[:4])
+        assert model._trees == []
+        assert len(model.trees) == 6
+        assert model._built is None
+
+    def test_materialised_shells_match_eager_ones(self, data):
+        X, y = data
+        params = dict(max_features=3, min_samples_split=4, max_depth=6)
+        model = ExtraTreesRegressor(n_estimators=5, seed=8, **params).fit(X, y)
+        eager = self._eager_shells(X, y, 5, np.random.default_rng(8), **params)
+        for lazy, old in zip(model.trees, eager):
+            for name in ("_feature", "_threshold", "_left", "_right", "_value"):
+                np.testing.assert_array_equal(getattr(lazy, name), getattr(old, name))
+            assert lazy._depths == old._depths
+            assert (lazy.max_features, lazy.min_samples_split, lazy.max_depth) == (
+                3, 4, 6,
+            )
+
+    @pytest.mark.parametrize("read_trees_first", [False, True])
+    def test_warm_refit_after_lazy_fit_is_bit_identical(self, data, read_trees_first):
+        """Replays the eager algorithm with a twin generator as oracle."""
+        X, y = data
+        X2, y2 = X[:90], y[:90] + 1.0
+        model = ExtraTreesRegressor(n_estimators=8, seed=4, refit_fraction=0.5)
+        model.fit(X, y)
+        if read_trees_first:
+            model.trees
+        model.fit(X2, y2)
+
+        rng = np.random.default_rng(4)
+        trees = self._eager_shells(X, y, 8, rng)
+        chosen = np.sort(rng.choice(8, size=4, replace=False))
+        for slot, tree in zip(chosen, self._eager_shells(X2, y2, 4, rng)):
+            trees[int(slot)] = tree
+        queries = np.random.default_rng(6).uniform(size=(33, 5))
+        expected = predict_packed(pack_trees(trees), queries)
+        np.testing.assert_array_equal(model._tree_predictions(queries), expected)
