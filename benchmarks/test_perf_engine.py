@@ -496,15 +496,35 @@ def test_batch_suggestions(trace):
 CATALOG_SIZES = (("aws-2017", "small"), ("aws-large", "large"), ("multicloud", "multi"))
 
 
+class _RebuildQueryScorer(PairwiseTreeScorer):
+    """From-scratch query assembly: the baseline the incremental buffer
+    is measured against.  Reassembles all ``u * m`` candidate x source
+    rows with ``repeat``/``tile`` and re-transforms them every call."""
+
+    def query_rows(self, pending):
+        if pending.scaled_query is None:
+            t_query = perf_counter()
+            design = self._design
+            candidates = np.asarray(pending.unmeasured, dtype=np.int64)
+            m, u, d = pending.index.size, candidates.size, design.shape[1]
+            rows = np.empty((u * m, pending.X_scaled.shape[1]))
+            rows[:, :d] = np.repeat(design[candidates], m, axis=0)
+            rows[:, d : 2 * d] = np.tile(design[pending.index], (u, 1))
+            rows[:, 2 * d :] = np.tile(pending.metrics, (u, 1))
+            pending.scaled_query = pending.scaler.transform(rows)
+            pending.query_s = perf_counter() - t_query
+        return pending.scaled_query
+
+
 def test_catalog_scaling():
     """Suggest-cycle latency as the candidate axis grows 18 -> 210 -> 390.
 
     At a fixed measured history the scorer's query phase — assembling
     and scaling one (candidates x sources) row block per score call —
-    is the part that grows with the catalog.  The incremental
-    ``query_mode`` serves it from a preallocated scaled buffer instead
-    of rebuilding with ``repeat``/``tile`` every call; both modes are
-    bit-identical, so the comparison below is pure assembly cost.  The
+    is the part that grows with the catalog.  The scorer serves it from
+    a preallocated scaled buffer; the baseline rebuilds it with
+    ``repeat``/``tile`` every call (:class:`_RebuildQueryScorer`).  Both
+    are bit-identical, so the comparison below is pure assembly cost.  The
     end-to-end number is a budgeted seeded Hybrid-BO search on the
     390-type ``multicloud`` catalog: large catalogs stay searchable
     under a measurement budget.
@@ -528,8 +548,11 @@ def test_catalog_scaling():
         design = AugmentedBO(environment, seed=0).design_matrix
 
         mode_stats: dict = {}
-        for mode in ("incremental", "rebuild"):
-            scorer = PairwiseTreeScorer(design, seed=0, query_mode=mode)
+        for mode, scorer_cls in (
+            ("incremental", PairwiseTreeScorer),
+            ("rebuild", _RebuildQueryScorer),
+        ):
+            scorer = scorer_cls(design, seed=0)
             first = scorer.score(measured, values, measurements, unmeasured)
             best_suggest = best_query = float("inf")
             for _ in range(N_CATALOG_ROUNDS):

@@ -48,9 +48,9 @@ optimisations keep it fast without changing seeded results:
   block (and the scaler transform of the static candidate design is
   cached, refreshed only when the scaler statistics move), so a scoring
   step gathers ``buffer[candidates, :m]`` instead of reassembling and
-  re-transforming all ``u * m`` rows with ``repeat``/``tile``
-  (``query_mode="rebuild"`` keeps the legacy assembly for comparison;
-  both modes produce bit-identical predictions);
+  re-transforming all ``u * m`` rows with ``repeat``/``tile`` (the
+  from-scratch assembly survives only as a test and benchmark oracle,
+  bit-identical to the buffer);
 * the gathered rows are scored by a single ensemble predict — one
   flat-array traversal over all trees, chunked over rows at large
   ``u * m`` (:func:`repro.ml.tree.predict_packed`);
@@ -85,12 +85,6 @@ DEFAULT_N_ESTIMATORS = 24
 #: the CART random forest is its classic sibling (for the ablation).
 ENSEMBLES = ("extra_trees", "random_forest")
 
-#: How candidate query rows are produced per scoring step:
-#: ``"incremental"`` (default) gathers from the scaled query buffer,
-#: ``"rebuild"`` reassembles and re-transforms all rows (the legacy
-#: path, kept as the benchmark baseline).  Both are bit-identical.
-QUERY_MODES = ("incremental", "rebuild")
-
 
 @dataclass(slots=True)
 class _PendingTreeScore:
@@ -111,7 +105,6 @@ class _PendingTreeScore:
     model: object
     X_scaled: np.ndarray
     y_train: np.ndarray
-    width: int
     unmeasured: list[int] = field(default_factory=list)
     build_s: float = 0.0
     fit_prep_s: float = 0.0
@@ -148,11 +141,6 @@ class PairwiseTreeScorer:
             ``"vectorized"`` (default, level-synchronous batched growth)
             or ``"classic"`` (per-node recursion); see
             :mod:`repro.ml.tree_builder`.
-        query_mode: ``"incremental"`` (default) serves candidate query
-            rows from the scaled query buffer, extended one source block
-            per observation; ``"rebuild"`` reassembles them from scratch
-            every step (the legacy path, kept as the perf baseline).
-            Predictions are bit-identical either way.
     """
 
     def __init__(
@@ -164,14 +152,9 @@ class PairwiseTreeScorer:
         seed: int | None = None,
         refit_fraction: float = 1.0,
         tree_builder: str = "vectorized",
-        query_mode: str = "incremental",
     ) -> None:
         if ensemble not in ENSEMBLES:
             raise ValueError(f"unknown ensemble {ensemble!r}; known: {ENSEMBLES}")
-        if query_mode not in QUERY_MODES:
-            raise ValueError(
-                f"unknown query_mode {query_mode!r}; known: {QUERY_MODES}"
-            )
         if not 0.0 < refit_fraction <= 1.0:
             raise ValueError(
                 f"refit_fraction must be in (0, 1], got {refit_fraction}"
@@ -191,7 +174,6 @@ class PairwiseTreeScorer:
         self.ensemble = ensemble
         self.refit_fraction = refit_fraction
         self.tree_builder = tree_builder
-        self.query_mode = query_mode
         self._rng = np.random.default_rng(seed)
         #: Per-call wall-clock breakdown, appended by :meth:`score`:
         #: dicts with n_measured / n_candidates / build_s / fit_s /
@@ -439,7 +421,6 @@ class PairwiseTreeScorer:
             model=model,
             X_scaled=X_scaled,
             y_train=y_train,
-            width=X_train.shape[1],
             unmeasured=unmeasured,
             build_s=build_s,
             fit_prep_s=perf_counter() - t_prep,
@@ -457,29 +438,18 @@ class PairwiseTreeScorer:
         """
         if pending.scaled_query is not None:
             return pending.scaled_query
-        index, metrics, scaler = pending.index, pending.metrics, pending.scaler
+        index = pending.index
         m = index.size
-        d = self._design.shape[1]
         candidates = np.asarray(pending.unmeasured, dtype=np.int64)
         u = candidates.size
         t_query = perf_counter()
-        if self.query_mode == "rebuild":
-            # Legacy path: reassemble all u * m rows and re-transform
-            # them every step.  Kept as the benchmark baseline.
-            measured_rows = self._design[index]
-            query_rows = np.empty((u * m, pending.width))
-            query_rows[:, :d] = np.repeat(self._design[candidates], m, axis=0)
-            query_rows[:, d : 2 * d] = np.tile(measured_rows, (u, 1))
-            query_rows[:, 2 * d :] = np.tile(metrics, (u, 1))
-            scaled_query = scaler.transform(query_rows)
-        else:
-            # Incremental path: one gather from the scaled buffer.  The
-            # element order (destination-major, source-minor) and every
-            # scaled value match the rebuild path bit for bit.
-            self._sync_query_buffer(index, metrics, scaler, pending.pair_start)
-            scaled_query = self._qbuf[candidates, :m].reshape(
-                u * m, self._qbuf.shape[2]
-            )
+        # One gather from the scaled buffer, destination-major and
+        # source-minor: bit for bit what reassembling the rows with
+        # ``repeat``/``tile`` and re-transforming them would give.
+        self._sync_query_buffer(
+            index, pending.metrics, pending.scaler, pending.pair_start
+        )
+        scaled_query = self._qbuf[candidates, :m].reshape(u * m, self._qbuf.shape[2])
         pending.query_s = perf_counter() - t_query
         pending.scaled_query = scaled_query
         return scaled_query
@@ -555,7 +525,6 @@ class AugmentedBO(SequentialOptimizer):
         ensemble: surrogate ensemble family; see :class:`PairwiseTreeScorer`.
         refit_fraction: warm-start refit knob; see :class:`PairwiseTreeScorer`.
         tree_builder: tree-growth strategy; see :class:`PairwiseTreeScorer`.
-        query_mode: candidate-row assembly mode; see :class:`PairwiseTreeScorer`.
         **kwargs: forwarded to :class:`SequentialOptimizer`.
     """
 
@@ -569,7 +538,6 @@ class AugmentedBO(SequentialOptimizer):
         ensemble: str = "extra_trees",
         refit_fraction: float = 1.0,
         tree_builder: str = "vectorized",
-        query_mode: str = "incremental",
         **kwargs,
     ) -> None:
         super().__init__(*args, **kwargs)
@@ -581,7 +549,6 @@ class AugmentedBO(SequentialOptimizer):
             seed=int(self._rng.integers(2**31)),
             refit_fraction=refit_fraction,
             tree_builder=tree_builder,
-            query_mode=query_mode,
         )
 
     @property

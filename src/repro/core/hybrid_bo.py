@@ -31,8 +31,6 @@ class HybridBO(SequentialOptimizer):
             surrogate; see :class:`~repro.core.augmented_bo.PairwiseTreeScorer`.
         tree_builder: tree-growth strategy for the late-phase surrogate;
             see :class:`~repro.core.augmented_bo.PairwiseTreeScorer`.
-        query_mode: candidate-row assembly mode for the late-phase
-            surrogate; see :class:`~repro.core.augmented_bo.PairwiseTreeScorer`.
         gp_gradient: likelihood-gradient mode for the early-phase GP —
             ``"analytic"`` (default) or ``"numeric"``; see
             :class:`~repro.core.naive_bo.GPScorer`.
@@ -49,7 +47,6 @@ class HybridBO(SequentialOptimizer):
         n_estimators: int = DEFAULT_N_ESTIMATORS,
         refit_fraction: float = 1.0,
         tree_builder: str = "vectorized",
-        query_mode: str = "incremental",
         gp_gradient: str = "analytic",
         **kwargs,
     ) -> None:
@@ -69,7 +66,6 @@ class HybridBO(SequentialOptimizer):
             seed=int(self._rng.integers(2**31)),
             refit_fraction=refit_fraction,
             tree_builder=tree_builder,
-            query_mode=query_mode,
         )
 
     def _round_scorer(self) -> GPScorer | PairwiseTreeScorer:

@@ -37,14 +37,21 @@ fault-injection streams are independent of completion order and worker
 count.  ``batch_size=1`` takes the literally unchanged sequential path
 and is bit-identical to it.
 
-Two accounting edges are inherent to batching and documented rather
-than hidden: the charge budget is capped *before* a batch launches (one
-charge reserved per pick), so in-batch retries can overshoot
-``max_measurements`` by at most ``q * (max_attempts - 1)`` charges
-where the serial loop would have stopped mid-retry; and a VM that the
-commit quarantines has already run (and been billed for) its full retry
-schedule, where the serial loop would have abandoned the remaining
-attempts.
+Both paths share one retry ladder and one commit step.
+:meth:`SequentialOptimizer._ladder` runs one VM's attempts (retry,
+spot revocation, resume credit, on-demand fallback) and returns a
+picklable :class:`LadderOutcome`; :meth:`SequentialOptimizer.
+_commit_attempt` folds one of its attempts into search state.  The only
+difference between the paths is the ladder's stop predicate.  The
+serial loop passes one that commits each attempt as it lands and ends
+the ladder as soon as that commit quarantined the VM or exhausted the
+budget.  A batch task cannot see the breaker or the budget, so it runs
+the ladder with no predicate and the round commits every attempt
+afterwards.  Hence batching's two bounded edges: the charge budget is
+reserved per pick *before* a batch launches, so in-batch retries can
+overshoot ``max_measurements`` by at most ``q * (max_attempts - 1)``
+charges; and a VM that the commit quarantines has already run (and
+been billed for) its full retry schedule.
 """
 
 from __future__ import annotations
@@ -107,48 +114,61 @@ class AcquisitionScores:
 
 
 @dataclass(frozen=True, slots=True)
-class BatchMeasurement:
-    """The outcome of one batched measurement task.
+class LadderAttempt:
+    """One charged attempt of a VM's measurement ladder.
 
-    Produced by :meth:`SequentialOptimizer.batch_measure_task` —
-    possibly in a worker process — and folded into search state at
-    batch-commit time, in catalog-index order.
+    Attributes:
+        number: 1-based attempt number.
+        charge: what the attempt billed, in on-demand attempt units
+            (``1.0`` outside spot pricing).
+        wait_s: retry backoff drawn before the attempt (``0.0`` for the
+            first).
+        error: ``"ErrorType: message"`` when the attempt failed,
+            ``None`` when it succeeded.
+        revocation: the ladder's running revocation count when this
+            attempt was a market spot revocation, else ``0``.
+        revoked_at: fraction of the remaining work reached when revoked.
+        fallback: this revocation tripped the fall-back to on-demand.
+        checkpoint: the resume checkpoint this revocation banked.
+        measurement: the measurement (successful attempts only).
+        value: its validated objective value (successful attempts only).
+    """
+
+    number: int
+    charge: float
+    wait_s: float = 0.0
+    error: str | None = None
+    revocation: int = 0
+    revoked_at: float = 0.0
+    fallback: bool = False
+    checkpoint: PartialMeasurement | None = None
+    measurement: Measurement | None = None
+    value: float | None = None
+
+
+@dataclass(frozen=True, slots=True)
+class LadderOutcome:
+    """What one VM's measurement ladder did, attempt by attempt.
+
+    Produced by :meth:`SequentialOptimizer._ladder` — in a pool worker,
+    for batch tasks — and folded into search state one attempt at a time
+    by :meth:`SequentialOptimizer._commit_attempt`.
 
     Attributes:
         index: catalog index of the measured VM.
-        iteration: 1-based batch round the task belongs to.
-        measurement: the successful measurement, or ``None`` when every
-            attempt failed.
-        value: the validated objective value (``None`` on failure).
-        attempts: charged attempts this task made (the successful one
-            included, when there was one).
-        failures: ``(attempt, "ErrorType: message")`` per failed attempt.
-        wait_s: total retry backoff the task accounted.
-        charge: what the successful attempt billed, in on-demand
-            attempt units (``1.0`` outside spot pricing).
-        failure_charges: per-failure charges aligned with ``failures``;
-            empty means every failure billed ``1.0``.
-        revoked_attempts: attempt numbers that were market spot
-            revocations (a subset of the ``failures`` attempts).
-        fallback_at: attempt number whose revocation tripped the
-            fall-back to on-demand pricing, or ``None``.
-        checkpoint: the partial-progress checkpoint surviving the task
-            (``None`` on success — the checkpoint was consumed — or
-            when nothing partial was banked).
+        attempts: the charged attempts in order; only the last one can
+            have succeeded.
+        wait_s: the attempts' retry backoff, summed in attempt order.
     """
 
     index: int
-    iteration: int
-    measurement: Measurement | None
-    value: float | None
-    attempts: int
-    failures: tuple[tuple[int, str], ...] = ()
-    wait_s: float = 0.0
-    charge: float = 1.0
-    failure_charges: tuple[float, ...] = ()
-    revoked_attempts: tuple[int, ...] = ()
-    fallback_at: int | None = None
-    checkpoint: PartialMeasurement | None = None
+    attempts: tuple[LadderAttempt, ...]
+    wait_s: float
+
+    @property
+    def succeeded(self) -> bool:
+        """Whether the ladder ended in a successful measurement."""
+        return self.attempts[-1].error is None
 
 
 #: One batch-measurement work item: ``(iteration, catalog index)``.
@@ -160,14 +180,14 @@ BatchCell = tuple[int, int]
 #: execution plane; :class:`repro.parallel.batch.MeasurementFanout`
 #: implements it over the pluggable cell executors.
 BatchFanout = Callable[
-    [list[BatchCell], Callable[[BatchCell], BatchMeasurement]],
-    list[BatchMeasurement],
+    [list[BatchCell], Callable[[BatchCell], LadderOutcome]],
+    list[LadderOutcome],
 ]
 
 
 def _inline_fanout(
-    cells: list[BatchCell], run_task: Callable[[BatchCell], BatchMeasurement]
-) -> list[BatchMeasurement]:
+    cells: list[BatchCell], run_task: Callable[[BatchCell], LadderOutcome]
+) -> list[LadderOutcome]:
     """The default fan-out: run the batch's tasks inline, in pick order."""
     return [run_task(cell) for cell in cells]
 
@@ -455,41 +475,41 @@ class SequentialOptimizer(abc.ABC):
             and self._charged() >= self.max_measurements
         )
 
-    def _observe(self, index: int) -> bool:
-        """Try to measure one VM under the retry policy.
+    def _ladder(
+        self,
+        index: int,
+        retry_rng: np.random.Generator,
+        stop: Callable[[LadderAttempt], bool] | None = None,
+    ) -> LadderOutcome:
+        """Measure one VM under the retry policy; the one retry ladder.
 
-        Every attempt — failed or not — is charged.  Returns True on a
-        successful observation; False when the attempts were exhausted,
-        the VM got quarantined, or the budget ran out mid-retry.
+        Every attempt — failed or not — is charged.  Spot-priced searches
+        (``spot`` policy set) run attempts at the spot price until
+        ``fallback_after`` market revocations, then fall back to
+        on-demand at full price.  A revocation bills only the reached
+        fraction of the remaining work (at the spot price) and banks
+        resume credit as a :class:`~repro.faults.models.PartialMeasurement`
+        checkpoint, so the eventual success is billed for the uncovered
+        remainder only.
 
-        Spot-priced searches (``spot`` policy set) walk a retry ladder:
-        attempts run at the spot price until ``fallback_after`` market
-        revocations, then fall back to on-demand at full price.  A
-        revocation bills only the reached fraction of the remaining
-        work (at the spot price) and banks resume credit as a per-VM
-        :class:`~repro.faults.models.PartialMeasurement` checkpoint, so
-        the eventual success is billed for the uncovered remainder
-        only.
+        The ladder changes no search state: it starts from the VM's
+        committed checkpoint and evolves its own copy.  ``stop``, when
+        given, sees each attempt as it lands; returning True ends the
+        ladder there, before any fall-back that attempt tripped.
         """
         vm = self._env.catalog[index]
         policy = self.retry_policy
-        step = self._obs_count + 1
         spot = self._spot
         pricing = "on-demand" if spot is None else "spot"
+        checkpoint = self._checkpoints.get(vm.name) if spot is not None else None
+        attempts: list[LadderAttempt] = []
         revocations = 0
+        wait_s = 0.0
         if spot is not None:
             self._set_env_pricing(vm.name, "spot")
-        for attempt in range(1, policy.max_attempts + 1):
-            if attempt > 1:
-                self._retry_wait_s += policy.wait(attempt - 1, self._retry_rng)
-            self._events.append(
-                SearchEvent(
-                    kind="measurement_started",
-                    step=step,
-                    vm_name=vm.name,
-                    detail=f"attempt {attempt}",
-                )
-            )
+        for number in range(1, policy.max_attempts + 1):
+            wait = policy.wait(number - 1, retry_rng) if number > 1 else 0.0
+            wait_s += wait
             try:
                 measurement = self._env.measure(vm)
                 value = self.objective.value_of(measurement)
@@ -499,8 +519,6 @@ class SequentialOptimizer(abc.ABC):
                         f"value {value!r}"
                     )
             except Exception as error:  # noqa: BLE001 - cloud errors are diverse
-                self._failed_charges += 1
-                error_text = f"{type(error).__name__}: {error}"
                 charge = 1.0
                 revoked = (
                     spot is not None
@@ -508,108 +526,162 @@ class SequentialOptimizer(abc.ABC):
                     and isinstance(error, SpotInterruptionError)
                     and error.fraction is not None
                 )
+                banked = None
                 if spot is not None:
-                    checkpoint = self._checkpoints.get(vm.name)
                     done = checkpoint.fraction if checkpoint is not None else 0.0
                     ratio = self._price_ratio(vm.name, pricing)
                     if revoked:
                         # Revoked at fraction g of the *remaining* work:
                         # bill g * (1 - done) at the spot price and bank
                         # resume credit toward the next attempt.
+                        revocations += 1
                         progressed = float(error.fraction) * (1.0 - done)
                         charge = ratio * progressed
                         prior = checkpoint.charge if checkpoint is not None else 0.0
-                        self._checkpoints[vm.name] = PartialMeasurement(
+                        banked = checkpoint = PartialMeasurement(
                             vm_name=vm.name,
                             fraction=done + spot.resume_credit * progressed,
                             charge=prior + charge,
                         )
                     else:
                         charge = ratio * (1.0 - done)
-                self._charge_total += charge
-                self._failure_events.append(
-                    FailureEvent(
-                        step=step,
-                        vm_name=vm.name,
-                        attempt=attempt,
-                        error=error_text,
-                        charge=charge,
-                    )
+                attempt = LadderAttempt(
+                    number=number,
+                    charge=charge,
+                    wait_s=wait,
+                    error=f"{type(error).__name__}: {error}",
+                    revocation=revocations if revoked else 0,
+                    revoked_at=float(error.fraction) if revoked else 0.0,
+                    fallback=revoked and revocations >= spot.fallback_after,
+                    checkpoint=banked,
                 )
-                self._events.append(
-                    SearchEvent(
-                        kind="measurement_failed",
-                        step=step,
-                        vm_name=vm.name,
-                        detail=error_text,
-                    )
-                )
-                if revoked:
-                    revocations += 1
-                    self._events.append(
-                        SearchEvent(
-                            kind="spot_revoked",
-                            step=step,
-                            vm_name=vm.name,
-                            detail=(
-                                f"revocation {revocations} at "
-                                f"{float(error.fraction):.0%} of the remaining "
-                                f"work, charged {charge:.6f}"
-                            ),
-                        )
-                    )
-                    quarantined = self._breaker.record_revocation(vm.name)
-                    quarantine_detail = (
-                        "spot churn: "
-                        f"{self._breaker.revocation_count(vm.name)} revocations"
-                    )
-                else:
-                    quarantined = self._breaker.record_failure(vm.name)
-                    quarantine_detail = f"after {attempt} failed attempts this round"
-                if quarantined:
-                    self._events.append(
-                        SearchEvent(
-                            kind="vm_quarantined",
-                            step=step,
-                            vm_name=vm.name,
-                            detail=quarantine_detail,
-                        )
-                    )
-                    return False
-                if self._budget_exhausted():
-                    return False
-                if revoked and pricing == "spot" and revocations >= spot.fallback_after:
+                attempts.append(attempt)
+                if stop is not None and stop(attempt):
+                    break
+                if attempt.fallback:
                     pricing = "on-demand"
                     self._set_env_pricing(vm.name, "on-demand")
-                    self._events.append(
-                        SearchEvent(
-                            kind="fallback_to_ondemand",
-                            step=step,
-                            vm_name=vm.name,
-                            detail=(
-                                f"after {revocations} revocations; retrying at "
-                                "full on-demand price"
-                            ),
-                        )
-                    )
                 continue
-            self._breaker.record_success(vm.name)
             charge = 1.0
             if spot is not None:
-                checkpoint = self._checkpoints.pop(vm.name, None)
                 done = checkpoint.fraction if checkpoint is not None else 0.0
                 charge = self._price_ratio(vm.name, pricing) * (1.0 - done)
-            self._record_observation(index, measurement, value, attempt, charge=charge)
+            attempt = LadderAttempt(
+                number=number,
+                charge=charge,
+                wait_s=wait,
+                measurement=measurement,
+                value=value,
+            )
+            attempts.append(attempt)
+            if stop is not None:
+                stop(attempt)
+            break
+        return LadderOutcome(index=index, attempts=tuple(attempts), wait_s=wait_s)
+
+    def _commit_attempt(self, step: int, index: int, attempt: LadderAttempt) -> bool:
+        """Fold one ladder attempt into search state.
+
+        Appends the attempt's events, charges it, and updates the
+        circuit breaker and the VM's checkpoint; a failure also records
+        its :class:`~repro.core.result.FailureEvent`, a success the
+        observation.  Returns True when this attempt quarantined the VM
+        or exhausted the budget: the serial loop's stop predicate.
+        """
+        vm_name = self._env.catalog[index].name
+
+        def event(kind: str, detail: str) -> None:
+            self._events.append(
+                SearchEvent(kind=kind, step=step, vm_name=vm_name, detail=detail)
+            )
+
+        event("measurement_started", f"attempt {attempt.number}")
+        if attempt.error is None:
+            self._breaker.record_success(vm_name)
+            self._checkpoints.pop(vm_name, None)
+            self._record_observation(
+                index,
+                attempt.measurement,
+                attempt.value,
+                attempt.number,
+                attempt.charge,
+            )
+            event("measurement_finished", f"{self.objective.value}={attempt.value!r}")
+            return False
+        self._failed_charges += 1
+        self._charge_total += attempt.charge
+        if attempt.checkpoint is not None:
+            self._checkpoints[vm_name] = attempt.checkpoint
+        self._failure_events.append(
+            FailureEvent(
+                step=step,
+                vm_name=vm_name,
+                attempt=attempt.number,
+                error=attempt.error,
+                charge=attempt.charge,
+            )
+        )
+        event("measurement_failed", attempt.error)
+        already_quarantined = self._breaker.is_quarantined(vm_name)
+        if attempt.revocation:
+            event(
+                "spot_revoked",
+                f"revocation {attempt.revocation} at {attempt.revoked_at:.0%} of "
+                f"the remaining work, charged {attempt.charge:.6f}",
+            )
+            quarantined = self._breaker.record_revocation(vm_name)
+            churn = self._breaker.revocation_count(vm_name)
+            reason = f"spot churn: {churn} revocations"
+        else:
+            quarantined = self._breaker.record_failure(vm_name)
+            reason = f"after {attempt.number} failed attempts this round"
+        if quarantined and not already_quarantined:
+            event("vm_quarantined", reason)
+            return True
+        return self._budget_exhausted()
+
+    def _commit_fallback(self, step: int, index: int, attempt: LadderAttempt) -> None:
+        """Record the fall-back to on-demand that ``attempt`` tripped."""
+        if attempt.fallback:
             self._events.append(
                 SearchEvent(
-                    kind="measurement_finished",
+                    kind="fallback_to_ondemand",
                     step=step,
-                    vm_name=vm.name,
-                    detail=f"{self.objective.value}={value!r}",
+                    vm_name=self._env.catalog[index].name,
+                    detail=f"after {attempt.revocation} revocations; retrying at "
+                    "full on-demand price",
                 )
             )
-            return True
-        return False
+
+    def _observe(self, index: int) -> LadderOutcome:
+        """Measure one VM serially, committing each attempt as it lands.
+
+        The ladder draws retry jitter from the serial stream and stops
+        as soon as a committed attempt quarantined the VM or exhausted
+        the budget; a fall-back is recorded only when the ladder goes on.
+        """
+        step = self._obs_count + 1
+
+        def commit(attempt: LadderAttempt) -> bool:
+            self._retry_wait_s += attempt.wait_s
+            if self._commit_attempt(step, index, attempt):
+                return True
+            self._commit_fallback(step, index, attempt)
+            return False
+
+        return self._ladder(index, self._retry_rng, stop=commit)
+
+    def _commit_outcome(self, outcome: LadderOutcome) -> None:
+        """Fold a whole batch task's ladder into search state.
+
+        Every attempt is committed, whatever the breaker or the budget
+        says by then; the retry wait lands once, as the task summed it.
+        """
+        step = self._obs_count + 1
+        self._retry_wait_s += outcome.wait_s
+        for attempt in outcome.attempts:
+            self._commit_attempt(step, outcome.index, attempt)
+            self._commit_fallback(step, outcome.index, attempt)
 
     def _reachable_unmeasured(self) -> list[int]:
         """Unmeasured catalog indices whose VM is not quarantined."""
@@ -668,230 +740,23 @@ class SequentialOptimizer(abc.ABC):
 
     # -- batched rounds ------------------------------------------------------
 
-    def batch_measure_task(self, cell: BatchCell) -> BatchMeasurement:
-        """Run one batch measurement to completion, self-seeded.
+    def batch_measure_task(self, cell: BatchCell) -> LadderOutcome:
+        """Run one batch measurement's ladder to completion, self-seeded.
 
         Safe to run in any order, on any worker: the task derives every
         random stream it touches — environment noise, fault rules, retry
         jitter — from its spawn key ``(stream seed, 2, iteration,
         catalog index)`` (environments expose an optional ``arm_for``
-        hook for the first two).  Global concerns (circuit breaker,
-        budget, events) are deliberately absent; they are applied when
-        the batch commits.
+        hook for the first two).  The ladder runs with no stop
+        predicate: breaker, budget and events are global concerns,
+        applied when the batch commits.
         """
         iteration, index = cell
-        vm = self._env.catalog[index]
         spawn_key = (self._stream_seed, BATCH_STREAM_TAG, iteration, index)
         arm = getattr(self._env, "arm_for", None)
         if arm is not None:
             arm(spawn_key)
-        retry_rng = np.random.default_rng([*spawn_key, 1])
-        policy = self.retry_policy
-        spot = self._spot
-        pricing = "on-demand" if spot is None else "spot"
-        revocations = 0
-        # The checkpoint evolves task-locally from the global state at
-        # fan-out time (deterministic: commits happen between rounds).
-        checkpoint = self._checkpoints.get(vm.name) if spot is not None else None
-        failures: list[tuple[int, str]] = []
-        failure_charges: list[float] = []
-        revoked_attempts: list[int] = []
-        fallback_at: int | None = None
-        wait_s = 0.0
-        if spot is not None:
-            self._set_env_pricing(vm.name, "spot")
-        for attempt in range(1, policy.max_attempts + 1):
-            if attempt > 1:
-                wait_s += policy.wait(attempt - 1, retry_rng)
-            try:
-                measurement = self._env.measure(vm)
-                value = self.objective.value_of(measurement)
-                if not np.isfinite(value) or value <= 0.0:
-                    raise CorruptedMeasurementError(
-                        f"{vm.name} returned unusable {self.objective.value} "
-                        f"value {value!r}"
-                    )
-            except Exception as error:  # noqa: BLE001 - cloud errors are diverse
-                failures.append((attempt, f"{type(error).__name__}: {error}"))
-                charge = 1.0
-                revoked = (
-                    spot is not None
-                    and pricing == "spot"
-                    and isinstance(error, SpotInterruptionError)
-                    and error.fraction is not None
-                )
-                if spot is not None:
-                    done = checkpoint.fraction if checkpoint is not None else 0.0
-                    ratio = self._price_ratio(vm.name, pricing)
-                    if revoked:
-                        progressed = float(error.fraction) * (1.0 - done)
-                        charge = ratio * progressed
-                        prior = checkpoint.charge if checkpoint is not None else 0.0
-                        checkpoint = PartialMeasurement(
-                            vm_name=vm.name,
-                            fraction=done + spot.resume_credit * progressed,
-                            charge=prior + charge,
-                        )
-                    else:
-                        charge = ratio * (1.0 - done)
-                failure_charges.append(charge)
-                if revoked:
-                    revocations += 1
-                    revoked_attempts.append(attempt)
-                    if pricing == "spot" and revocations >= spot.fallback_after:
-                        pricing = "on-demand"
-                        fallback_at = attempt
-                        self._set_env_pricing(vm.name, "on-demand")
-                continue
-            charge = 1.0
-            if spot is not None:
-                done = checkpoint.fraction if checkpoint is not None else 0.0
-                charge = self._price_ratio(vm.name, pricing) * (1.0 - done)
-                checkpoint = None  # consumed by the success
-            return BatchMeasurement(
-                index=index,
-                iteration=iteration,
-                measurement=measurement,
-                value=value,
-                attempts=attempt,
-                failures=tuple(failures),
-                wait_s=wait_s,
-                charge=charge,
-                failure_charges=tuple(failure_charges),
-                revoked_attempts=tuple(revoked_attempts),
-                fallback_at=fallback_at,
-                checkpoint=checkpoint,
-            )
-        return BatchMeasurement(
-            index=index,
-            iteration=iteration,
-            measurement=None,
-            value=None,
-            attempts=policy.max_attempts,
-            failures=tuple(failures),
-            wait_s=wait_s,
-            failure_charges=tuple(failure_charges),
-            revoked_attempts=tuple(revoked_attempts),
-            fallback_at=fallback_at,
-            checkpoint=checkpoint,
-        )
-
-    def _commit_batch(self, outcomes: list[BatchMeasurement]) -> None:
-        """Fold one round's outcomes into search state.
-
-        Commits in catalog-index order regardless of completion order,
-        so events, failure records, breaker state and step numbering are
-        identical for any fan-out backend and worker count.
-        """
-        for outcome in sorted(outcomes, key=lambda o: o.index):
-            vm = self._env.catalog[outcome.index]
-            step = self._obs_count + 1
-            self._retry_wait_s += outcome.wait_s
-            quarantined = False
-            revoked_set = set(outcome.revoked_attempts)
-            revocations = 0
-            for position, (attempt, error_text) in enumerate(outcome.failures):
-                charge = (
-                    outcome.failure_charges[position]
-                    if outcome.failure_charges
-                    else 1.0
-                )
-                self._events.append(
-                    SearchEvent(
-                        kind="measurement_started",
-                        step=step,
-                        vm_name=vm.name,
-                        detail=f"attempt {attempt}",
-                    )
-                )
-                self._failed_charges += 1
-                self._charge_total += charge
-                self._failure_events.append(
-                    FailureEvent(
-                        step=step,
-                        vm_name=vm.name,
-                        attempt=attempt,
-                        error=error_text,
-                        charge=charge,
-                    )
-                )
-                self._events.append(
-                    SearchEvent(
-                        kind="measurement_failed",
-                        step=step,
-                        vm_name=vm.name,
-                        detail=error_text,
-                    )
-                )
-                if attempt in revoked_set:
-                    revocations += 1
-                    self._events.append(
-                        SearchEvent(
-                            kind="spot_revoked",
-                            step=step,
-                            vm_name=vm.name,
-                            detail=(
-                                f"revocation {revocations} at batch attempt "
-                                f"{attempt}, charged {charge:.6f}"
-                            ),
-                        )
-                    )
-                    newly_quarantined = self._breaker.record_revocation(vm.name)
-                else:
-                    newly_quarantined = self._breaker.record_failure(vm.name)
-                if newly_quarantined and not quarantined:
-                    quarantined = True
-                    self._events.append(
-                        SearchEvent(
-                            kind="vm_quarantined",
-                            step=step,
-                            vm_name=vm.name,
-                            detail=f"after {attempt} failed attempts this round",
-                        )
-                    )
-                if outcome.fallback_at == attempt:
-                    self._events.append(
-                        SearchEvent(
-                            kind="fallback_to_ondemand",
-                            step=step,
-                            vm_name=vm.name,
-                            detail=(
-                                f"after {revocations} revocations; retrying at "
-                                "full on-demand price"
-                            ),
-                        )
-                    )
-            if outcome.measurement is not None and outcome.value is not None:
-                self._events.append(
-                    SearchEvent(
-                        kind="measurement_started",
-                        step=step,
-                        vm_name=vm.name,
-                        detail=f"attempt {outcome.attempts}",
-                    )
-                )
-                self._breaker.record_success(vm.name)
-                self._record_observation(
-                    outcome.index,
-                    outcome.measurement,
-                    outcome.value,
-                    outcome.attempts,
-                    charge=outcome.charge,
-                )
-                self._events.append(
-                    SearchEvent(
-                        kind="measurement_finished",
-                        step=step,
-                        vm_name=vm.name,
-                        detail=f"{self.objective.value}={outcome.value!r}",
-                    )
-                )
-                if self._spot is not None:
-                    self._checkpoints.pop(vm.name, None)
-            elif outcome.checkpoint is not None:
-                # The task failed outright but banked partial progress;
-                # keep it so a later round resumes instead of redoing.
-                self._checkpoints[vm.name] = outcome.checkpoint
+        return self._ladder(index, np.random.default_rng([*spawn_key, 1]))
 
     def _batched_round(self, iteration: int) -> str | None:
         """One q-point round (``batch_size > 1``): suggest, fan out, commit.
@@ -970,8 +835,12 @@ class SequentialOptimizer(abc.ABC):
         )
         cells: list[BatchCell] = [(iteration, index) for index in picked]
         outcomes = fanout(cells, self.batch_measure_task)
-        self._commit_batch(outcomes)
-        succeeded = sum(1 for o in outcomes if o.measurement is not None)
+        # Commit in catalog-index order regardless of completion order,
+        # so events, failure records, breaker state and step numbering
+        # are identical for any fan-out backend and worker count.
+        for outcome in sorted(outcomes, key=lambda o: o.index):
+            self._commit_outcome(outcome)
+        succeeded = sum(1 for o in outcomes if o.succeeded)
         self._events.append(
             SearchEvent(
                 kind="batch_measured",

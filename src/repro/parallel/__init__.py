@@ -9,10 +9,9 @@ Cells are dispatched through the pluggable
 :class:`~repro.parallel.supervisor.Supervisor` — per-cell deadlines,
 bounded retries, pool self-healing with a restart budget, poison-cell
 quarantine.  Worker counts are clamped to what the machine and grid can
-use (:func:`~repro.parallel.engine.plan_workers`), the trace's bulk
-arrays reach workers through one shared-memory segment
-(:class:`~repro.parallel.dataplane.TraceShare`) instead of per-worker
-copies, and completed cells are journaled crash-safely by
+use (:func:`~repro.parallel.engine.plan_workers`), workers read the
+trace through fork-inherited copy-on-write memory, and completed cells
+are journaled crash-safely by
 :class:`~repro.parallel.checkpoint.GridCheckpoint` so interrupted grids
 resume instead of recomputing.
 
@@ -33,7 +32,6 @@ searches, bit-identical per search to the serial loop.
 
 from repro.parallel.batch import BATCH_BACKENDS, MeasurementFanout
 from repro.parallel.checkpoint import GridCheckpoint, flush_on_signal
-from repro.parallel.dataplane import TraceShare
 from repro.parallel.engine import (
     DEFAULT_POOL_RESTARTS,
     EXECUTOR_CHOICES,
@@ -78,7 +76,6 @@ __all__ = [
     "SerialExecutor",
     "SupervisionConfig",
     "Supervisor",
-    "TraceShare",
     "VectorizedGridDriver",
     "WorkQueue",
     "build_executor",

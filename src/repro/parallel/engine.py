@@ -19,20 +19,17 @@ Properties that make this a drop-in for the serial loop:
   supervision had to re-run it.  Results are yielded in submission
   order, so downstream cache assembly is byte-identical to the serial
   path.
-* **Fork-based context sharing and a zero-copy data plane** — optimiser
-  factories are arbitrary closures and therefore not picklable.  The
-  engine stores the cell context (trace, factory, objective, seed
-  function) in a module global *before* the pool forks; workers inherit
-  it through copy-on-write memory, and only the tiny
+* **Fork-based context sharing** — optimiser factories are arbitrary
+  closures and therefore not picklable.  The engine stores the cell
+  context (trace, factory, objective, seed function) in a module global
+  *before* the pool forks; workers inherit it through copy-on-write
+  memory (the trace is 123 KB for the paper catalog, about 2.7 MB for
+  the 390-type multicloud one), and only the tiny
   ``(workload_id, repeat)`` tuples and the picklable
   :class:`~repro.core.result.SearchResult` objects ever cross the
-  process boundary.  The trace's bulk arrays additionally ride in one
-  ``multiprocessing.shared_memory`` segment
-  (:class:`~repro.parallel.dataplane.TraceShare`), so every worker reads
-  the same physical bytes instead of copy-on-write page duplicates.
-  When fork is unavailable (or ``workers <= 1``, or the grid has a
-  single cell) the engine runs serially in-process — same code path per
-  cell, no pool.
+  process boundary.  When fork is unavailable (or ``workers <= 1``, or
+  the grid has a single cell) the engine runs serially in-process —
+  same code path per cell, no pool.
 * **Worker clamping** — a requested worker count is only a ceiling: the
   engine clamps it to ``min(workers, os.cpu_count(), n_cells)`` and
   skips the pool entirely for grids under :data:`POOL_MIN_CELLS` cells
@@ -66,7 +63,6 @@ from repro.analysis.runner import OptimizerFactory, run_seed
 from repro.core.objectives import Objective
 from repro.core.result import SearchResult
 from repro.faults.retry import RetryPolicy
-from repro.parallel.dataplane import TraceShare
 from repro.parallel.events import CellEvent
 from repro.parallel.executors import (
     Cell,
@@ -130,7 +126,7 @@ def plan_workers(
 class _CellContext:
     """Everything a worker needs to execute one cell."""
 
-    __slots__ = ("trace", "factory", "objective", "seed_fn", "share")
+    __slots__ = ("trace", "factory", "objective", "seed_fn")
 
     def __init__(
         self,
@@ -138,13 +134,11 @@ class _CellContext:
         factory: OptimizerFactory,
         objective: Objective,
         seed_fn: SeedFn,
-        share: TraceShare | None = None,
     ) -> None:
         self.trace = trace
         self.factory = factory
         self.objective = objective
         self.seed_fn = seed_fn
-        self.share = share
 
 
 # Set in the parent before the pool forks; workers inherit it.  This is
@@ -158,10 +152,7 @@ def _execute_cell(cell: Cell) -> SearchResult:
     if context is None:
         raise RuntimeError("cell context is not initialised in this process")
     workload_id, repeat = cell
-    # Pool runs read the trace from the shared-memory data plane (one
-    # physical copy across all workers); serial runs use it directly.
-    trace = context.trace if context.share is None else context.share.trace()
-    environment = trace.environment(workload_id)
+    environment = context.trace.environment(workload_id)
     optimizer = context.factory(
         environment, context.objective, context.seed_fn(workload_id, repeat)
     )
@@ -317,22 +308,8 @@ def run_cells(
 
     global _CELL_CONTEXT
     previous = _CELL_CONTEXT
-    # The shared-memory data plane only pays off when workers fork.  If
-    # the platform can't provide a segment (e.g. no /dev/shm), workers
-    # simply fall back to the fork-inherited copy of the trace.
-    share = None
-    forks_workers = (not serial and executor != "queue") or local_queue_workers > 0
-    if forks_workers:
-        try:
-            share = TraceShare.export(trace)
-        except OSError:  # pragma: no cover - platform-dependent
-            share = None
     _CELL_CONTEXT = _CellContext(
-        trace=trace,
-        factory=factory,
-        objective=objective,
-        seed_fn=seed_fn,
-        share=share,
+        trace=trace, factory=factory, objective=objective, seed_fn=seed_fn
     )
     try:
         if executor == "queue":
@@ -358,5 +335,3 @@ def run_cells(
         yield from supervisor.run(cells)
     finally:
         _CELL_CONTEXT = previous
-        if share is not None:
-            share.close()

@@ -167,22 +167,39 @@ class TestStepTimings:
             assert entry["n_candidates"] >= 1
 
 
-class TestQueryModes:
-    """The incremental query-row buffer vs the legacy repeat/tile
-    rebuild: same floats, different assembly."""
+class RebuildQueryScorer(PairwiseTreeScorer):
+    """From-scratch oracle for the scaled query-row buffer.
 
-    def test_validation(self, trace):
-        with pytest.raises(ValueError, match="query_mode"):
-            AugmentedBO(trace.environment(WORKLOAD), query_mode="cached")
+    Reassembles all ``u * m`` candidate x source rows with
+    ``repeat``/``tile`` and re-transforms them on every score call.
+    """
+
+    def query_rows(self, pending):
+        if pending.scaled_query is None:
+            design = self._design
+            candidates = np.asarray(pending.unmeasured, dtype=np.int64)
+            m, u, d = pending.index.size, candidates.size, design.shape[1]
+            rows = np.empty((u * m, pending.X_scaled.shape[1]))
+            rows[:, :d] = np.repeat(design[candidates], m, axis=0)
+            rows[:, d : 2 * d] = np.tile(design[pending.index], (u, 1))
+            rows[:, 2 * d :] = np.tile(pending.metrics, (u, 1))
+            pending.scaled_query = pending.scaler.transform(rows)
+        return pending.scaled_query
+
+
+class TestQueryModes:
+    """The incremental query-row buffer vs the repeat/tile rebuild
+    oracle: same floats, different assembly."""
 
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_full_search_is_bit_identical(self, trace, seed):
+    def test_full_search_is_bit_identical(self, trace, seed, monkeypatch):
         runs = {}
         for mode in ("incremental", "rebuild"):
-            optimizer = AugmentedBO(
-                trace.environment(WORKLOAD), seed=seed, query_mode=mode
-            )
-            result = optimizer.run()
+            if mode == "rebuild":
+                monkeypatch.setattr(
+                    PairwiseTreeScorer, "query_rows", RebuildQueryScorer.query_rows
+                )
+            result = AugmentedBO(trace.environment(WORKLOAD), seed=seed).run()
             runs[mode] = (
                 result.measured_vm_names,
                 [s.objective_value for s in result.steps],
@@ -200,8 +217,8 @@ class TestQueryModes:
         values = [m.execution_time_s for m in measurements]
         design = AugmentedBO(environment, seed=0).design_matrix
 
-        fast = PairwiseTreeScorer(design, seed=1, query_mode="incremental")
-        slow = PairwiseTreeScorer(design, seed=1, query_mode="rebuild")
+        fast = PairwiseTreeScorer(design, seed=1)
+        slow = RebuildQueryScorer(design, seed=1)
         for upto in (4, 5, 6, 7, 8, 8):  # repeated 8 = fixed-history call
             measured = list(range(upto))
             unmeasured = list(range(upto, len(catalog)))

@@ -267,10 +267,35 @@ class TestPlanWorkers:
     def test_clamps_to_cpu_count(self):
         assert plan_workers(8, 6, cpu_count=2) == 2
 
+    def test_clamps_many_cells_to_cpu_count(self):
+        assert plan_workers(8, 20, cpu_count=2) == 2
+
     def test_clamps_to_cells_not_request(self):
         assert plan_workers(16, 6, cpu_count=32) == 6
 
+    def test_clamps_to_cell_count(self):
+        assert plan_workers(8, 5, cpu_count=16) == 5
+
+    def test_request_is_a_ceiling(self):
+        assert plan_workers(3, 20, cpu_count=16) == 3
+
+    def test_tiny_grids_run_serially(self):
+        assert POOL_MIN_CELLS > 1
+        for n_cells in range(POOL_MIN_CELLS):
+            assert plan_workers(8, n_cells, cpu_count=16) == 1
+
+    def test_at_threshold_pools(self):
+        assert plan_workers(8, POOL_MIN_CELLS, cpu_count=16) == POOL_MIN_CELLS
+
+    def test_uses_host_cpu_count_by_default(self):
+        cores = os.cpu_count() or 1
+        assert plan_workers(10_000, 10_000) == min(10_000, cores)
+
     def test_single_validation_site_rejects_zero(self):
+        with pytest.raises(ValueError, match="workers"):
+            plan_workers(0, 10)
+
+    def test_rejects_bad_request(self):
         with pytest.raises(ValueError, match="workers"):
             plan_workers(0, 10)
 
